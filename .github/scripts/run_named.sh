@@ -5,13 +5,20 @@
 # this guard; every run is therefore checked for a non-zero pass count.
 #
 # Usage: run_named.sh <harness> <filter> [extra cargo test args...]
+# <harness> names an integration-test target (`properties`, `end_to_end`),
+# or `lib:<package>` for that package's unit tests.
 set -euo pipefail
 
 harness="$1"
 filter="$2"
 shift 2
 
-if ! out=$(cargo test -q --test "$harness" "$filter" "$@" 2>&1); then
+case "$harness" in
+  lib:*) target=(-p "${harness#lib:}" --lib) ;;
+  *) target=(--test "$harness") ;;
+esac
+
+if ! out=$(cargo test -q "${target[@]}" "$filter" "$@" 2>&1); then
   echo "$out"
   exit 1
 fi

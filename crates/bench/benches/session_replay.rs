@@ -408,29 +408,32 @@ fn session_replay(c: &mut Criterion) {
     // repeated-config sweep pays instead of a cold solve.
     // `publish_4x4` folds one 16-entry generation plus four 4-entry
     // worker shards into the next generation — the between-batches merge.
+    // `publish_cap512` is that merge at the size `fleet_unique`
+    // runs it: a full 512-entry generation plus 8 worker shards of 32 new
+    // windows each, so 256 entries rotate out per publish.
     // ------------------------------------------------------------------
-    let shared_windows: Vec<(Vec<ScheduleItem>, u64)> = (0..16u64)
-        .map(|w| {
-            let items: Vec<ScheduleItem> = (0..5)
-                .map(|i| ScheduleItem {
-                    release_us: i * 200_000,
-                    deadline_us: (i + 1) * 220_000 + w * 1_000,
-                    options: (0..5)
-                        .map(|j| ScheduleOption {
-                            choice: j,
-                            duration_us: 180_000 - j as u64 * 9_000 - w * 500,
-                            cost: 1.0 + 0.4 * (j as f64) + 0.01 * w as f64,
-                        })
-                        .collect(),
-                })
-                .collect();
-            let shape = window_shape(
-                items.iter().map(|it| (it.deadline_us, it.release_us)),
-                items.iter(),
-            );
-            (items, shape)
-        })
-        .collect();
+    // Window `w`: distinct deadlines per `w`, durations cycling over 16.
+    let shared_window = |w: u64| {
+        let items: Vec<ScheduleItem> = (0..5)
+            .map(|i| ScheduleItem {
+                release_us: i * 200_000,
+                deadline_us: (i + 1) * 220_000 + w * 1_000,
+                options: (0..5)
+                    .map(|j| ScheduleOption {
+                        choice: j,
+                        duration_us: 180_000 - j as u64 * 9_000 - (w % 16) * 500,
+                        cost: 1.0 + 0.4 * (j as f64) + 0.01 * (w % 16) as f64,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let shape = window_shape(
+            items.iter().map(|it| (it.deadline_us, it.release_us)),
+            items.iter(),
+        );
+        (items, shape)
+    };
+    let shared_windows: Vec<(Vec<ScheduleItem>, u64)> = (0..16u64).map(shared_window).collect();
     let solve_all = |memo: &mut SolveMemo,
                      scratch: &mut SolveScratch,
                      generation: &SolveGeneration,
@@ -469,32 +472,57 @@ fn session_replay(c: &mut Criterion) {
         })
     });
 
-    let worker_shards: Vec<SolveShard> = shared_windows
-        .chunks(4)
-        .map(|chunk| {
-            let mut memo = SolveMemo::new();
-            let mut shard = SolveShard::new();
-            for (items, shape) in chunk {
-                memo.solve_shared(
-                    items,
-                    None,
-                    *shape,
-                    200_000,
-                    0.0,
-                    &mut scratch,
-                    &SolveGeneration::empty(),
-                    &mut shard,
-                )
-                .unwrap();
-            }
-            shard
-        })
-        .collect();
+    // One worker shard per chunk of windows, each solved cold.
+    let mut shards_of = |windows: &[(Vec<ScheduleItem>, u64)], per_shard: usize| {
+        windows
+            .chunks(per_shard)
+            .map(|chunk| {
+                let mut memo = SolveMemo::new();
+                let mut shard = SolveShard::new();
+                for (items, shape) in chunk {
+                    memo.solve_shared(
+                        items,
+                        None,
+                        *shape,
+                        200_000,
+                        0.0,
+                        &mut scratch,
+                        &SolveGeneration::empty(),
+                        &mut shard,
+                    )
+                    .unwrap();
+                }
+                shard
+            })
+            .collect::<Vec<SolveShard>>()
+    };
+    let worker_shards = shards_of(&shared_windows, 4);
+    let cap_windows: Vec<(Vec<ScheduleItem>, u64)> = (0..768u64).map(shared_window).collect();
+    let full_generation = SolveGeneration::publish(
+        &SolveGeneration::empty(),
+        &shards_of(&cap_windows[..512], 32),
+        512,
+    );
+    assert_eq!(full_generation.len(), 512, "the generation starts full");
+    let batch_shards = shards_of(&cap_windows[512..], 32);
+    assert_eq!(batch_shards.len(), 8);
     group.bench_function("shared_memo/publish_4x4", |b| {
         b.iter(|| {
             black_box(
                 SolveGeneration::publish(black_box(&generation), black_box(&worker_shards), 512)
                     .len(),
+            )
+        })
+    });
+    group.bench_function("shared_memo/publish_cap512", |b| {
+        b.iter(|| {
+            black_box(
+                SolveGeneration::publish(
+                    black_box(&full_generation),
+                    black_box(&batch_shards),
+                    512,
+                )
+                .len(),
             )
         })
     });

@@ -36,12 +36,20 @@
 //!
 //! * [`SolveShard`] — a private write shard one fleet worker owns for one
 //!   batch. Cold solves are recorded into it; nothing reads it during the
-//!   batch, so workers never contend.
+//!   batch, so workers never contend. Recording copies the solved window
+//!   once, into an `Arc`: from then on the shard and every generation that
+//!   keeps the window share that one allocation.
 //! * [`SolveGeneration`] — the read-only published cache. Between batches a
 //!   deterministic merge ([`SolveGeneration::publish`]) folds the previous
 //!   generation and the batch's shards — **in unit order**, so the result
 //!   is independent of thread scheduling — into a new shape-sorted
-//!   generation.
+//!   generation. The merge does work per *new* window, not per kept one:
+//!   the previous generation is already unique and shape-sorted, so the
+//!   batch's windows are shape-sorted, checked against the previous
+//!   generation's shape runs in one walk, deduplicated within their own
+//!   shape runs, and merged in. Kept windows are never copied, only their
+//!   `Arc`. Each entry carries its fold-order age, and a full generation
+//!   evicts its oldest entries first.
 //! * [`SolveMemo::solve_shared`] — the ring probe, then the generation
 //!   probe, then a cold solve. A generation hit **mirrors the cold-solve
 //!   path exactly**: it installs the entry into the ring's recycled slot,
@@ -52,6 +60,8 @@
 //!   ladder) therefore observes a bit-identical replay whether the shared
 //!   cache is plugged in or not; only wall-clock time and the shard's own
 //!   [`SolveShard::shared_hits`] counter differ.
+
+use std::sync::Arc;
 
 use pes_ilp::{
     IlpError, OptionOrder, ScheduleItem, ScheduleProblem, ScheduleSolution, SolveScratch, SolveTier,
@@ -115,28 +125,34 @@ pub struct SolveMemo {
 /// Default number of cold solves one [`SolveShard`] retains per replay.
 pub const SHARD_CAP: usize = 32;
 
-/// One entry of the shared cross-replay cache: a solved window, whole. The
-/// posed problem carries the revalidation key (normalised items, node
-/// limit, incumbent gap) exactly as a ring slot does, so a generation hit
-/// revalidates under the identical predicate.
-#[derive(Debug, Clone)]
+/// One solved window of the shared cross-replay cache, whole. The posed
+/// problem carries the revalidation key (normalised items, node limit,
+/// incumbent gap) exactly as a ring slot does, so a generation hit
+/// revalidates under the identical predicate. Built once, when a shard
+/// records a cold solve, and shared by `Arc` from then on; the window's
+/// shape lives next to each `Arc` so probes and merges compare it without
+/// chasing the pointer.
+#[derive(Debug, Clone, PartialEq)]
 struct SharedEntry {
-    shape: u64,
     problem: ScheduleProblem,
     solution: ScheduleSolution,
     tier: SolveTier,
 }
 
 impl SharedEntry {
-    /// Whether `other` would revalidate to the same answer: identical
-    /// shape, solve parameters and normalised items. Duplicates by this key
-    /// hold bit-identical solutions (solves are deterministic), so the
-    /// merge may keep either copy.
-    fn same_key(&self, other: &SharedEntry) -> bool {
-        self.shape == other.shape
-            && self.problem.node_limit() == other.problem.node_limit()
-            && self.problem.incumbent_gap() == other.problem.incumbent_gap()
-            && self.problem.items() == other.problem.items()
+    /// Whether this entry answers `items` posed under the (normalised)
+    /// solve parameters; callers compare shapes first.
+    fn answers(&self, items: &[ScheduleItem], node_limit: usize, incumbent_gap: f64) -> bool {
+        self.problem.node_limit() == node_limit
+            && self.problem.incumbent_gap() == incumbent_gap
+            && self.problem.items() == items
+    }
+
+    /// Whether this entry was solved from `key`'s revalidation key.
+    /// Duplicates by this key hold bit-identical solutions (solves are
+    /// deterministic), so the merge may keep either copy.
+    fn same_key(&self, key: &ScheduleProblem) -> bool {
+        self.answers(key.items(), key.node_limit(), key.incumbent_gap())
     }
 }
 
@@ -148,7 +164,8 @@ impl SharedEntry {
 /// the shared cache plugged in.
 #[derive(Debug, Clone)]
 pub struct SolveShard {
-    entries: Vec<SharedEntry>,
+    /// `(shape, window)` in recording order.
+    entries: Vec<(u64, Arc<SharedEntry>)>,
     cap: usize,
     shared_hits: usize,
     shared_lookups: usize,
@@ -197,28 +214,36 @@ impl SolveShard {
         self.shared_lookups
     }
 
-    /// Records a cold solve, cloning the slot. Full shards and re-solves of
-    /// an already-recorded window (the ring evicts, the shard remembers)
-    /// are dropped.
+    /// Records a cold solve, copying the slot into a new shared entry. Full
+    /// shards and re-solves of an already-recorded window (the ring
+    /// evicts, the shard remembers) are dropped before anything is copied.
     fn record(&mut self, slot: &MemoSlot) {
-        if self.entries.len() >= self.cap {
+        if self.entries.len() >= self.cap
+            || self
+                .entries
+                .iter()
+                .any(|(shape, e)| *shape == slot.shape && e.same_key(&slot.problem))
+        {
             return;
         }
-        let candidate = SharedEntry {
-            shape: slot.shape,
+        let entry = SharedEntry {
             problem: slot.problem.clone(),
             solution: slot.solution.clone(),
             tier: slot.tier,
         };
-        if self
-            .entries
-            .iter()
-            .any(|e| e.shape == candidate.shape && e.same_key(&candidate))
-        {
-            return;
-        }
-        self.entries.push(candidate);
+        self.entries.push((slot.shape, Arc::new(entry)));
     }
+}
+
+/// One published entry: the window's shape, its age in fold order, and the
+/// shared window itself.
+#[derive(Debug, Clone)]
+struct Published {
+    shape: u64,
+    /// Fold-order age: entries that entered earlier carry smaller ages. A
+    /// generation's ages are exactly `next_age - len .. next_age`.
+    age: u64,
+    entry: Arc<SharedEntry>,
 }
 
 /// The published read-only cross-replay cache: one immutable generation,
@@ -226,10 +251,12 @@ impl SolveShard {
 /// following batch. See the module docs for the lifecycle.
 #[derive(Debug, Clone, Default)]
 pub struct SolveGeneration {
-    /// Sorted by `shape`; ties keep fold order (previous generation first,
-    /// then shards in unit order), so the first revalidated match is
-    /// deterministic.
-    entries: Vec<SharedEntry>,
+    /// Sorted by `shape`; ties keep fold order (by age: previous
+    /// generations first, then shards in unit order), so the first
+    /// revalidated match is deterministic. Unique by revalidation key.
+    entries: Vec<Published>,
+    /// The age the next published window receives.
+    next_age: u64,
 }
 
 impl SolveGeneration {
@@ -237,6 +264,7 @@ impl SolveGeneration {
     pub const fn empty() -> Self {
         SolveGeneration {
             entries: Vec::new(),
+            next_age: 0,
         }
     }
 
@@ -256,27 +284,75 @@ impl SolveGeneration {
     /// callers pass unit order, never thread-completion order),
     /// deduplicated by revalidation key (first occurrence wins; duplicates
     /// hold identical solutions anyway), capped to the `cap` **newest**
-    /// entries so stale windows rotate out, and stably sorted by shape.
+    /// entries by fold order so stale windows rotate out, and stably
+    /// sorted by shape.
+    ///
+    /// Costs a sort of the batch's windows, one walk over `prev` and one
+    /// pointer copy per kept entry: windows are shared by `Arc`, never
+    /// deep-copied. The batch's windows are shape-sorted and walked
+    /// alongside `prev` (already unique and shape-sorted), so each is
+    /// compared only with its own shape run in `prev` and in the batch.
+    /// Survivors take the next ages in fold order and are merged into
+    /// `prev`'s run.
     pub fn publish(prev: &SolveGeneration, shards: &[SolveShard], cap: usize) -> SolveGeneration {
-        let mut merged: Vec<SharedEntry> = Vec::new();
-        let candidates = prev
-            .entries
+        // The batch's windows by shape, fold order breaking ties.
+        let mut fresh: Vec<(u64, usize, &Arc<SharedEntry>)> = shards
             .iter()
-            .chain(shards.iter().flat_map(|s| s.entries.iter()));
-        for candidate in candidates {
-            if merged
+            .flat_map(|s| &s.entries)
+            .enumerate()
+            .map(|(fold, (shape, e))| (*shape, fold, e))
+            .collect();
+        fresh.sort_unstable_by_key(|&(shape, fold, _)| (shape, fold));
+        // A window is new unless `prev` or an earlier window of its shape
+        // run already holds its key (first key wins; `prev` folds first).
+        let mut is_new = vec![false; fresh.len()];
+        let mut cursor = 0;
+        for (k, &(shape, fold, e)) in fresh.iter().enumerate() {
+            while prev.entries.get(cursor).is_some_and(|p| p.shape < shape) {
+                cursor += 1;
+            }
+            let in_prev = prev.entries[cursor..]
                 .iter()
-                .any(|e| e.shape == candidate.shape && e.same_key(candidate))
-            {
+                .take_while(|p| p.shape == shape)
+                .any(|p| p.entry.same_key(&e.problem));
+            let in_batch = fresh[..k]
+                .iter()
+                .rev()
+                .take_while(|c| c.0 == shape)
+                .any(|c| is_new[c.1] && c.2.same_key(&e.problem));
+            is_new[fold] = !in_prev && !in_batch;
+        }
+        // New windows take the next ages in fold order; the generation
+        // keeps the `cap` newest ages.
+        let mut next_age = prev.next_age;
+        let ages: Vec<u64> = is_new
+            .iter()
+            .map(|&added| {
+                let age = next_age;
+                next_age += u64::from(added);
+                age
+            })
+            .collect();
+        let oldest = next_age.saturating_sub(cap as u64);
+        // Merge into `prev`'s shape-sorted run; on equal shapes `prev`'s
+        // entries are older, so they go first.
+        let mut kept = prev.entries.iter().filter(|p| p.age >= oldest).peekable();
+        let mut entries = Vec::with_capacity(cap.min(prev.len() + fresh.len()));
+        for &(shape, fold, e) in &fresh {
+            if !is_new[fold] || ages[fold] < oldest {
                 continue;
             }
-            merged.push(candidate.clone());
+            while let Some(old) = kept.next_if(|old| old.shape <= shape) {
+                entries.push(old.clone());
+            }
+            entries.push(Published {
+                shape,
+                age: ages[fold],
+                entry: Arc::clone(e),
+            });
         }
-        if merged.len() > cap {
-            merged.drain(..merged.len() - cap);
-        }
-        merged.sort_by_key(|e| e.shape);
-        SolveGeneration { entries: merged }
+        entries.extend(kept.cloned());
+        SolveGeneration { entries, next_age }
     }
 
     /// The entry answering the posed window, if any: binary search to the
@@ -290,15 +366,12 @@ impl SolveGeneration {
         node_limit: usize,
         incumbent_gap: f64,
     ) -> Option<&SharedEntry> {
-        let start = self.entries.partition_point(|e| e.shape < shape);
+        let start = self.entries.partition_point(|p| p.shape < shape);
         self.entries[start..]
             .iter()
-            .take_while(|e| e.shape == shape)
-            .find(|e| {
-                e.problem.node_limit() == node_limit.max(1)
-                    && e.problem.incumbent_gap() == incumbent_gap.max(0.0)
-                    && e.problem.items() == items
-            })
+            .take_while(|p| p.shape == shape)
+            .map(|p| &*p.entry)
+            .find(|e| e.answers(items, node_limit.max(1), incumbent_gap.max(0.0)))
     }
 }
 
@@ -425,7 +498,7 @@ impl SolveMemo {
             let slot = &mut self.slots[self.cursor];
             slot.problem.clone_from(&entry.problem);
             slot.solution.clone_from(&entry.solution);
-            slot.shape = entry.shape;
+            slot.shape = shape;
             slot.tier = entry.tier;
             let nodes = slot.solution.nodes_explored;
             self.current = self.cursor;
@@ -519,6 +592,7 @@ impl SolveMemo {
 mod tests {
     use super::*;
     use pes_ilp::ScheduleOption;
+    use proptest::prelude::*;
 
     fn window(slack: u64) -> Vec<ScheduleItem> {
         (0..4u64)
@@ -858,5 +932,215 @@ mod tests {
         memo.solve(&items, Some(&orders), shape, 200_000, 0.0, &mut scratch)
             .unwrap();
         assert_eq!(memo.tier(), SolveTier::Exact);
+    }
+
+    /// A synthetic solved window, no solve needed: `variant` picks the
+    /// items and node budget (equal `(shape, variant)` pairs are duplicate
+    /// keys; equal shapes with different variants are shape collisions)
+    /// and `tag` marks the copy, so a test sees *which* duplicate won.
+    fn synthetic(variant: u64, tag: usize) -> SharedEntry {
+        let item = ScheduleItem {
+            release_us: 0,
+            deadline_us: 100 + variant / 2,
+            options: vec![ScheduleOption {
+                choice: 0,
+                duration_us: 50,
+                cost: 1.0,
+            }],
+        };
+        SharedEntry {
+            problem: ScheduleProblem::new(0, vec![item])
+                .with_node_limit(1_000 + variant as usize % 2),
+            solution: ScheduleSolution {
+                nodes_explored: tag,
+                ..ScheduleSolution::default()
+            },
+            tier: SolveTier::Exact,
+        }
+    }
+
+    /// A shard holding `(shape, variant)` windows as given — duplicates
+    /// included, which `record` would refuse but `publish` must handle.
+    fn shard_of(windows: &[(u64, u64)], tags: &mut usize) -> SolveShard {
+        let mut shard = SolveShard::new();
+        for &(shape, variant) in windows {
+            *tags += 1;
+            shard
+                .entries
+                .push((shape, Arc::new(synthetic(variant, *tags))));
+        }
+        shard
+    }
+
+    fn holds(generation: &SolveGeneration, shape: u64, variant: u64) -> bool {
+        let probe = synthetic(variant, 0).problem;
+        generation
+            .lookup(
+                probe.items(),
+                shape,
+                probe.node_limit(),
+                probe.incumbent_gap(),
+            )
+            .is_some()
+    }
+
+    /// The publish specification written the plain way: deep copies, a
+    /// pairwise first-key-wins fold over an age-ordered list, the `cap`
+    /// newest kept, then a stable shape sort. Each entry also keeps the
+    /// allocation it was folded from, for the identity check.
+    #[derive(Default)]
+    struct SpecGeneration {
+        /// `(shape, deep copy, source)` in fold (age) order.
+        aged: Vec<(u64, SharedEntry, Arc<SharedEntry>)>,
+    }
+
+    impl SpecGeneration {
+        fn publish(&self, shards: &[SolveShard], cap: usize) -> SpecGeneration {
+            let mut merged: Vec<(u64, SharedEntry, Arc<SharedEntry>)> = Vec::new();
+            let candidates = self
+                .aged
+                .iter()
+                .map(|(shape, _, source)| (*shape, source))
+                .chain(
+                    shards
+                        .iter()
+                        .flat_map(|s| s.entries.iter().map(|(shape, e)| (*shape, e))),
+                );
+            for (shape, source) in candidates {
+                if merged
+                    .iter()
+                    .any(|(s, e, _)| *s == shape && e.same_key(&source.problem))
+                {
+                    continue;
+                }
+                merged.push((shape, (**source).clone(), Arc::clone(source)));
+            }
+            let excess = merged.len().saturating_sub(cap);
+            merged.drain(..excess);
+            SpecGeneration { aged: merged }
+        }
+    }
+
+    /// Asserts `fast` publishes exactly the spec's entries in the spec's
+    /// order, each one the very allocation it was folded from.
+    fn assert_matches_spec(fast: &SolveGeneration, spec: &SpecGeneration) {
+        let mut expected: Vec<&(u64, SharedEntry, Arc<SharedEntry>)> = spec.aged.iter().collect();
+        expected.sort_by_key(|(shape, _, _)| *shape);
+        assert_eq!(fast.len(), expected.len());
+        for (p, (shape, copy, source)) in fast.entries.iter().zip(expected) {
+            assert_eq!(p.shape, *shape);
+            assert_eq!(*p.entry, *copy);
+            assert!(
+                Arc::ptr_eq(&p.entry, source),
+                "publish copied a window instead of sharing it"
+            );
+        }
+        // Ages follow fold order and stay consecutive.
+        let mut by_age: Vec<&Published> = fast.entries.iter().collect();
+        by_age.sort_by_key(|p| p.age);
+        let first_age = fast.next_age - fast.len() as u64;
+        for (k, (p, (_, _, source))) in by_age.iter().zip(&spec.aged).enumerate() {
+            assert_eq!(p.age, first_age + k as u64);
+            assert!(Arc::ptr_eq(&p.entry, source), "age order is fold order");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn publish_matches_the_spec_oracle_over_arbitrary_sequences(
+            batches in collection::vec(
+                collection::vec(collection::vec((0u64..6, 0u64..4), 0..6), 0..4),
+                1..6,
+            ),
+            cap in 1usize..=12,
+        ) {
+            let mut tags = 0;
+            let mut fast = SolveGeneration::empty();
+            let mut spec = SpecGeneration::default();
+            for batch in &batches {
+                // Shape 5 stands for the top of the shape space.
+                let shards: Vec<SolveShard> = batch
+                    .iter()
+                    .map(|windows| {
+                        let windows: Vec<(u64, u64)> = windows
+                            .iter()
+                            .map(|&(s, v)| (if s == 5 { u64::MAX } else { s }, v))
+                            .collect();
+                        shard_of(&windows, &mut tags)
+                    })
+                    .collect();
+                fast = SolveGeneration::publish(&fast, &shards, cap);
+                spec = spec.publish(&shards, cap);
+                assert_matches_spec(&fast, &spec);
+            }
+        }
+    }
+
+    #[test]
+    fn generation_cap_evicts_the_oldest_entries_across_publishes() {
+        // Window B (shape 30) enters before A (shape 10), then C (shape
+        // 20) in the next batch. At cap 2 the oldest, B, must rotate out,
+        // although the shape-sorted generation lists A first.
+        let mut tags = 0;
+        let gen1 = SolveGeneration::publish(
+            &SolveGeneration::empty(),
+            &[shard_of(&[(30, 0), (10, 0)], &mut tags)],
+            2,
+        );
+        let gen2 = SolveGeneration::publish(&gen1, &[shard_of(&[(20, 0)], &mut tags)], 2);
+        assert_eq!(gen2.len(), 2);
+        assert!(!holds(&gen2, 30, 0), "the oldest window is evicted");
+        assert!(holds(&gen2, 10, 0), "a newer low-shape window survives");
+        assert!(holds(&gen2, 20, 0), "the window just added survives");
+        // A re-published old window keeps its age: first key wins.
+        let gen3 = SolveGeneration::publish(&gen2, &[shard_of(&[(10, 0), (5, 0)], &mut tags)], 2);
+        assert!(!holds(&gen3, 10, 0), "A is now the oldest");
+        assert!(holds(&gen3, 20, 0) && holds(&gen3, 5, 0));
+    }
+
+    #[test]
+    fn publish_shares_windows_instead_of_copying() {
+        let mut scratch = SolveScratch::new();
+        let empty = SolveGeneration::empty();
+        let solve_into = |k: u64, shard: &mut SolveShard, scratch: &mut SolveScratch| {
+            let items = window(10_000 + k * 7_000);
+            let orders = orders_for(&items);
+            SolveMemo::new()
+                .solve_shared(
+                    &items,
+                    Some(&orders),
+                    shape_of(&items),
+                    200_000,
+                    0.0,
+                    scratch,
+                    &empty,
+                    shard,
+                )
+                .unwrap();
+        };
+        let mut first = SolveShard::new();
+        solve_into(0, &mut first, &mut scratch);
+        solve_into(1, &mut first, &mut scratch);
+        let gen1 = SolveGeneration::publish(&empty, std::slice::from_ref(&first), 64);
+        let mut second = SolveShard::new();
+        solve_into(1, &mut second, &mut scratch); // already published
+        solve_into(2, &mut second, &mut scratch);
+        let gen2 = SolveGeneration::publish(&gen1, std::slice::from_ref(&second), 64);
+        assert_eq!(gen2.len(), 3);
+        // Every entry of both generations is the allocation its shard
+        // recorded; the duplicate from `second` is not the one kept.
+        for generation in [&gen1, &gen2] {
+            for p in &generation.entries {
+                assert!(first
+                    .entries
+                    .iter()
+                    .chain(&second.entries[1..])
+                    .any(|(_, e)| Arc::ptr_eq(e, &p.entry)));
+            }
+        }
+        for (_, e) in &first.entries {
+            assert_eq!(Arc::strong_count(e), 3, "shard, gen1 and gen2 share it");
+        }
+        assert_eq!(Arc::strong_count(&second.entries[0].1), 1);
     }
 }

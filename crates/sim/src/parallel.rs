@@ -14,14 +14,7 @@
 //! times and then **quarantined** — their index is reported in the returned
 //! [`FleetReport`] instead of aborting the whole fan-out. One poisoned
 //! session replay must cost the fleet one result, not the suite.
-//!
-//! [`par_map_supervised_streaming`] is the backpressure tier on top: workers
-//! push outcomes through a *bounded* channel and a sink consumes them in
-//! index order, so a million-unit fleet holds `O(threads + capacity)`
-//! results in memory instead of all of them — the hook the streaming fleet
-//! driver (`crate::fleet`) batches through.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -308,104 +301,6 @@ where
     assemble(n, tagged)
 }
 
-/// Streaming supervised fan-out with **bounded in-flight results**: maps
-/// `f` over `0..n`, pushing every outcome through a bounded channel of
-/// `capacity` slots, and hands them to `sink` **in index order** —
-/// `Ok(value)` for completed units, `Err(failure)` for quarantined ones.
-/// Workers block once `capacity` outcomes are waiting (real backpressure:
-/// a slow sink throttles the fleet instead of buffering it), so peak
-/// memory stays a small multiple of `threads + capacity` results
-/// regardless of `n`. With
-/// `threads <= 1` the fan-out degenerates to the serial loop and the sink
-/// sees exactly what the serial driver produces — the same byte-identity
-/// contract as [`par_map_supervised`].
-pub fn par_map_supervised_streaming<T, F, S>(
-    threads: usize,
-    n: usize,
-    retries: usize,
-    capacity: usize,
-    f: F,
-    mut sink: S,
-) where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: FnMut(usize, Result<T, UnitFailure>),
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        for index in 0..n {
-            let (made, outcome) = run_supervised(&f, index, retries);
-            match outcome {
-                Ok(value) => sink(index, Ok(value)),
-                Err(message) => sink(
-                    index,
-                    Err(UnitFailure {
-                        index,
-                        attempts: made,
-                        last_level: None,
-                        message,
-                    }),
-                ),
-            }
-        }
-        return;
-    }
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TaggedOutcome<T>>(capacity.max(1));
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= n {
-                    break;
-                }
-                let (made, outcome) = run_supervised(f, index, retries);
-                if tx.send((index, made, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // The consumer runs on the caller's thread: outcomes arrive in
-        // completion order and are re-sequenced through a small reorder
-        // buffer (bounded by the in-flight window, not by `n`).
-        let mut pending: BTreeMap<usize, (usize, Result<T, String>)> = BTreeMap::new();
-        let mut expect = 0usize;
-        let emit =
-            |index: usize, made: usize, outcome: Result<T, String>, sink: &mut S| match outcome {
-                Ok(value) => sink(index, Ok(value)),
-                Err(message) => sink(
-                    index,
-                    Err(UnitFailure {
-                        index,
-                        attempts: made,
-                        last_level: None,
-                        message,
-                    }),
-                ),
-            };
-        for (index, made, outcome) in rx {
-            pending.insert(index, (made, outcome));
-            while let Some((made, outcome)) = pending.remove(&expect) {
-                emit(expect, made, outcome, &mut sink);
-                expect += 1;
-            }
-        }
-        // Channel closed with holes: a worker died to a non-unwinding abort
-        // after claiming an index. Flush what arrived, synthesize the rest.
-        while expect < n {
-            match pending.remove(&expect) {
-                Some((made, outcome)) => emit(expect, made, outcome, &mut sink),
-                None => sink(expect, Err(worker_death(expect))),
-            }
-            expect += 1;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,68 +442,5 @@ mod tests {
         assert_eq!(report.quarantine_rate(), 0.0);
         assert!(report.is_clean());
         assert!(report.attempts.is_empty());
-    }
-
-    #[test]
-    fn streaming_sink_sees_index_order_and_matches_batch() {
-        let work = |i: usize| {
-            if i % 11 == 7 {
-                panic!("unit {i} fails");
-            }
-            i * i
-        };
-        let batch = par_map_supervised_with(6, 100, 1, work);
-        for threads in [1, 6] {
-            let mut seen = Vec::new();
-            par_map_supervised_streaming(threads, 100, 1, 4, work, |index, outcome| {
-                seen.push((index, outcome.map_err(|f| (f.attempts, f.message))));
-            });
-            assert_eq!(seen.len(), 100);
-            for (k, (index, outcome)) in seen.iter().enumerate() {
-                assert_eq!(*index, k, "sink consumes in index order");
-                match outcome {
-                    Ok(value) => assert_eq!(Some(*value), batch.results[k]),
-                    Err((attempts, message)) => {
-                        let failure = batch
-                            .failures
-                            .iter()
-                            .find(|f| f.index == k)
-                            .expect("batch quarantined the same unit");
-                        assert_eq!(*attempts, failure.attempts);
-                        assert_eq!(*message, failure.message);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_bounds_in_flight_results() {
-        use std::sync::atomic::AtomicUsize;
-        // A deliberately slow sink: with a capacity-4 channel the workers
-        // must block rather than buffering all 64 outcomes.
-        let produced = AtomicUsize::new(0);
-        let mut consumed = 0usize;
-        let mut max_gap = 0usize;
-        par_map_supervised_streaming(
-            4,
-            512,
-            0,
-            4,
-            |i| {
-                produced.fetch_add(1, Ordering::SeqCst);
-                i
-            },
-            |_, _| {
-                consumed += 1;
-                let gap = produced.load(Ordering::SeqCst).saturating_sub(consumed);
-                max_gap = max_gap.max(gap);
-            },
-        );
-        assert_eq!(consumed, 512);
-        // In-flight window: channel capacity + one per worker (in hand) +
-        // the reorder buffer's transient, measured racily. A small multiple
-        // of (threads + capacity), far below n — which is the point.
-        assert!(max_gap <= 64, "max in-flight gap {max_gap} of 512");
     }
 }
